@@ -183,9 +183,16 @@ impl BayesianNetwork {
 
     /// Runs the dropout-free pass — the paper's *pre-inference*, used to
     /// record the zero-neuron locations.
+    ///
+    /// Convolutions run through the im2col fast path
+    /// ([`Network::eval_node_ws`]) with one workspace shared across the
+    /// layers; every node output equals (`==`) [`Network::forward_full`].
     pub fn forward_deterministic(&self, input: &Tensor) -> SampleRun {
+        let mut ws = Workspace::new();
         SampleRun {
-            activations: self.net.forward_full(input),
+            activations: self
+                .net
+                .forward_with(input, |net, node, ins| net.eval_node_ws(node, ins, &mut ws)),
         }
     }
 
@@ -324,6 +331,29 @@ mod tests {
         let sampled = bnet.forward_sample(&input, &masks);
         // With p = 0 every mask is empty, so the runs agree exactly.
         assert_eq!(det.logits(), sampled.logits());
+    }
+
+    #[test]
+    fn blocked_pre_inference_equals_the_naive_forward_node_by_node() {
+        for net in [
+            models::lenet5(3),
+            models::ModelKind::Vgg16.build_scaled(3, ModelScale::TINY),
+        ] {
+            let bnet = BayesianNetwork::new(net, 0.3);
+            let input = input_for(bnet.network());
+            let blocked = bnet.forward_deterministic(&input).activations;
+            let naive = bnet.network().forward_full(&input);
+            assert_eq!(blocked.len(), naive.len());
+            for (node, (a, b)) in blocked.iter().zip(&naive).enumerate() {
+                let name = bnet.network().name();
+                assert_eq!(a, b, "{name} node {node} diverged");
+                assert_eq!(
+                    a.zero_mask(),
+                    b.zero_mask(),
+                    "{name} node {node}: zero-neuron index diverged"
+                );
+            }
+        }
     }
 
     #[test]

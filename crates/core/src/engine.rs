@@ -467,6 +467,7 @@ impl Engine {
     /// 3. **Canary** — sample 0 runs through both paths; a large
     ///    probability divergence (value-poisoned thresholds) degrades
     ///    the whole run to exact ([`DegradedMode::FullFallback`]).
+    ///    Otherwise the canary's skipping run is served as sample 0.
     /// 4. **Per-sample guards** — each fast sample is panic-isolated and
     ///    its skip rate and probability row sanity-checked; anomalous
     ///    samples are recomputed exactly under the guard.
@@ -547,12 +548,17 @@ impl Engine {
         // reference; a fast row that diverges beyond tolerance means the
         // thresholds are structurally fine but semantically poisoned. An
         // open circuit breaker (`force_exact`) skips the canary — the
-        // verdict is already in.
+        // verdict is already in. A healthy canary's masks and skipping run
+        // are sample 0's (same `(seed, 0)`), so the loop reuses them.
         let mut full_fallback = ctl.force_exact;
+        let mut canary = None;
         if !ctl.force_exact {
             let canary_masks = self.bnet.generate_masks(seed, 0);
-            let exact_probs =
-                stats::softmax(self.bnet.forward_sample(input, &canary_masks).logits());
+            let exact_probs = stats::softmax(
+                self.bnet
+                    .forward_sample_ws(input, &canary_masks, &mut *ws)
+                    .logits(),
+            );
             if ActivationGuard::probs_are_sane(&exact_probs) {
                 full_fallback = match catch_unwind(AssertUnwindSafe(|| {
                     fast.run_sample(&canary_masks)
@@ -564,6 +570,7 @@ impl Engine {
                             .zip(&fast_probs)
                             .map(|(a, b)| (a - b).abs())
                             .sum();
+                        canary = Some((canary_masks, run));
                         !ActivationGuard::probs_are_sane(&fast_probs) || l1 > rc.canary_tolerance
                     }
                     Err(_) => true,
@@ -591,13 +598,17 @@ impl Engine {
                 expired = true;
                 break;
             }
-            let masks = self.bnet.generate_masks(seed, s);
+            // Only sample 0 finds the canary here.
+            let (masks, canary_run) = match canary.take() {
+                Some((masks, run)) => (masks, Some(run)),
+                None => (self.bnet.generate_masks(seed, s), None),
+            };
             let mut row: Option<Vec<f32>> = None;
 
             if !full_fallback {
                 if let Ok(run) = catch_unwind(AssertUnwindSafe(|| {
                     ctl.fire_sample_hook(s);
-                    fast.run_sample(&masks)
+                    canary_run.unwrap_or_else(|| fast.run_sample(&masks))
                 })) {
                     let sample_stats = run.stats();
                     let probs = stats::softmax(run.logits());

@@ -1,5 +1,5 @@
 use crate::workspace::Workspace;
-use fbcnn_tensor::{Shape, Tensor};
+use fbcnn_tensor::{BitMask, Shape, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Column-block width (in output positions) for the blocked im2col kernel.
@@ -205,10 +205,12 @@ impl Conv2d {
         self.forward_channel_impl(input, m, plane, false);
     }
 
-    /// Computes one output channel `m` into `plane` (length `R·C`).
+    /// Computes one output channel `m` into `plane` (length `R·C`) with
+    /// the naive direct loop.
     ///
-    /// Exposed so the skipping inference in `fbcnn-predictor` can compute
-    /// individual kept neurons with identical arithmetic.
+    /// A test oracle: inference runs the blocked kernels
+    /// ([`Conv2d::forward_ws`], [`Conv2d::forward_skipping_ws`]), and the
+    /// property tests check them against this loop.
     ///
     /// # Panics
     ///
@@ -275,13 +277,50 @@ impl Conv2d {
     /// Panics if the input shape is incompatible (see
     /// [`Conv2d::output_shape`]).
     pub fn forward_ws(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
+        self.forward_blocked(input, None, ws)
+    }
+
+    /// The skipping convolution: like [`Conv2d::forward_ws`], but the
+    /// neurons set in `skip` (a mask of the output shape) are not computed
+    /// and read `+0.0`.
+    ///
+    /// The kernel skips every column tile whose neurons are all skipped —
+    /// the software form of the paper's skip engine — and computes the
+    /// other tiles exactly as [`Conv2d::forward_ws`] does, so every kept
+    /// neuron is bit-identical to it (and `==` to [`Conv2d::forward`]).
+    /// An empty mask reproduces [`Conv2d::forward_ws`] bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input shape is incompatible (see
+    /// [`Conv2d::output_shape`]) or `skip` does not have the output shape.
+    pub fn forward_skipping_ws(
+        &self,
+        input: &Tensor,
+        skip: &BitMask,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        assert_eq!(
+            skip.shape(),
+            self.output_shape(input.shape()),
+            "skip mask must have the output shape"
+        );
+        self.forward_blocked(input, Some(skip), ws)
+    }
+
+    fn forward_blocked(
+        &self,
+        input: &Tensor,
+        skip: Option<&BitMask>,
+        ws: &mut Workspace,
+    ) -> Tensor {
         let out_shape = self.output_shape(input.shape());
         let plane = out_shape.plane();
         let patches = ws.im2col(self.macs_per_neuron() * plane);
         self.fill_im2col(input, out_shape, patches);
         let mut out = Tensor::zeros(out_shape);
         for m in 0..self.out_channels {
-            self.blocked_channel(patches, m, out.channel_mut(m), self.relu);
+            self.blocked_channel(patches, m, out.channel_mut(m), skip);
         }
         out
     }
@@ -300,18 +339,15 @@ impl Conv2d {
     /// input shape is incompatible (see [`Conv2d::output_shape`]).
     pub fn forward_parallel(&self, input: &Tensor, threads: usize, ws: &mut Workspace) -> Tensor {
         assert!(threads > 0, "thread count must be non-zero");
+        let threads = threads.min(self.out_channels);
+        if threads == 1 {
+            return self.forward_ws(input, ws);
+        }
         let out_shape = self.output_shape(input.shape());
         let plane = out_shape.plane();
         let patches = ws.im2col(self.macs_per_neuron() * plane);
         self.fill_im2col(input, out_shape, patches);
         let mut out = Tensor::zeros(out_shape);
-        let threads = threads.min(self.out_channels);
-        if threads == 1 {
-            for m in 0..self.out_channels {
-                self.blocked_channel(patches, m, out.channel_mut(m), self.relu);
-            }
-            return out;
-        }
         let chunk = self.out_channels.div_ceil(threads);
         let patches = &*patches;
         crossbeam::thread::scope(|scope| {
@@ -319,7 +355,7 @@ impl Conv2d {
                 let first_m = worker * chunk;
                 scope.spawn(move |_| {
                     for (dm, out_plane) in planes.chunks_mut(plane).enumerate() {
-                        self.blocked_channel(patches, first_m + dm, out_plane, self.relu);
+                        self.blocked_channel(patches, first_m + dm, out_plane, None);
                     }
                 });
             }
@@ -385,14 +421,30 @@ impl Conv2d {
     /// Per output element the accumulation order is identical to
     /// [`Conv2d::forward`]: bias, then weights in `kk`-ascending order
     /// (zeros skipped), then ReLU.
-    fn blocked_channel(&self, patches: &[f32], m: usize, plane: &mut [f32], relu: bool) {
+    ///
+    /// With a `skip` mask (output-shaped), tiles whose neurons are all
+    /// skipped are not accumulated, and every skipped neuron is written
+    /// `+0.0` after the ReLU; the other tiles are computed unchanged.
+    fn blocked_channel(
+        &self,
+        patches: &[f32],
+        m: usize,
+        plane: &mut [f32],
+        skip: Option<&BitMask>,
+    ) {
         let kernel = self.kernel(m);
         let cols = plane.len();
         debug_assert_eq!(patches.len(), kernel.len() * cols);
+        // Offset of this channel's first neuron in `skip`.
+        let base = m * cols;
         plane.fill(self.bias[m]);
         let mut start = 0;
         while start < cols {
             let end = (start + COL_BLOCK).min(cols);
+            if skip.is_some_and(|s| all_set(s, base + start, end - start)) {
+                start = end;
+                continue;
+            }
             let out_block = &mut plane[start..end];
             for (kk, &w) in kernel.iter().enumerate() {
                 if w == 0.0 {
@@ -405,18 +457,29 @@ impl Conv2d {
             }
             start = end;
         }
-        if relu {
+        if self.relu {
             for v in plane.iter_mut() {
                 if *v < 0.0 {
                     *v = 0.0;
                 }
             }
         }
+        if let Some(skip) = skip {
+            for (chunk, word_start) in plane.chunks_mut(64).zip((base..).step_by(64)) {
+                let mut bits = skip.load_bits(word_start, chunk.len());
+                while bits != 0 {
+                    chunk[bits.trailing_zeros() as usize] = 0.0;
+                    bits &= bits - 1;
+                }
+            }
+        }
     }
 
     /// Computes a single output neuron `(m, r, c)` with the same
-    /// arithmetic as [`Conv2d::forward`] — the reference the skipping
-    /// inference must reproduce bit-for-bit.
+    /// arithmetic as [`Conv2d::forward`].
+    ///
+    /// A test oracle: the skipping inference computes kept neurons with
+    /// [`Conv2d::forward_skipping_ws`], not neuron by neuron.
     pub fn forward_neuron(&self, input: &Tensor, m: usize, r: usize, c: usize) -> f32 {
         let in_shape = input.shape();
         let (in_h, in_w) = (in_shape.height(), in_shape.width());
@@ -443,6 +506,15 @@ impl Conv2d {
             acc
         }
     }
+}
+
+/// Whether the `len` bits of `mask` starting at `start` are all set, read
+/// one packed word at a time.
+fn all_set(mask: &BitMask, start: usize, len: usize) -> bool {
+    (start..start + len).step_by(64).all(|i| {
+        let n = (start + len - i).min(64);
+        mask.load_bits(i, n) == u64::MAX >> (64 - n)
+    })
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Property-based tests for the CNN substrate.
 
 use fbcnn_nn::{Conv2d, Dense, Pool2d, PoolKind, Workspace};
-use fbcnn_tensor::{Shape, Tensor};
+use fbcnn_tensor::{BitMask, Shape, Tensor};
 use proptest::prelude::*;
+use std::ops::Range;
 
 fn arb_conv() -> impl Strategy<Value = (Conv2d, Tensor)> {
     (1usize..4, 1usize..5, 1usize..4, 0usize..2, 4usize..8).prop_flat_map(
@@ -28,9 +29,18 @@ fn arb_conv() -> impl Strategy<Value = (Conv2d, Tensor)> {
 /// Like [`arb_conv`], but additionally varies stride, fused ReLU and the
 /// bias — the dimensions the fast conv paths must reproduce exactly.
 fn arb_conv_fast() -> impl Strategy<Value = (Conv2d, Tensor)> {
+    arb_conv_geometry(1..3, 4..9)
+}
+
+/// Random convolutions with strides and input sizes drawn from the given
+/// ranges (kernel 1, 3 or 5, pad up to 2, ReLU on or off, random bias).
+fn arb_conv_geometry(
+    strides: Range<usize>,
+    dims: Range<usize>,
+) -> impl Strategy<Value = (Conv2d, Tensor)> {
     (
         (1usize..4, 1usize..6, 0usize..3),
-        (0usize..3, 1usize..3, 4usize..9, any::<bool>()),
+        (0usize..3, strides, dims, any::<bool>()),
     )
         .prop_flat_map(|((n, m, k_idx), (pad, stride, dim, relu))| {
             let k = [1usize, 3, 5][k_idx % 3].min(dim);
@@ -51,6 +61,74 @@ fn arb_conv_fast() -> impl Strategy<Value = (Conv2d, Tensor)> {
                         (conv, input)
                     },
                 )
+        })
+}
+
+/// Which output neurons a skipping convolution is told to skip.
+#[derive(Debug, Clone)]
+enum SkipPattern {
+    Empty,
+    Full,
+    /// Each neuron skipped with the given probability.
+    Random {
+        seed: u64,
+        density: f64,
+    },
+    /// Each output channel skipped entirely or not at all.
+    WholeChannels {
+        seed: u64,
+    },
+    /// Per channel, one kept neuron in every run of `period` neurons
+    /// (period 256 = one per column tile of the blocked kernel).
+    OneKeptPer {
+        period: usize,
+        offset: usize,
+    },
+}
+
+impl SkipPattern {
+    fn mask(&self, shape: Shape) -> BitMask {
+        let plane = shape.plane();
+        let hash = |seed: u64, i: usize| {
+            let mut z = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^ (z >> 31)
+        };
+        match *self {
+            SkipPattern::Empty => BitMask::zeros(shape),
+            SkipPattern::Full => BitMask::ones(shape),
+            SkipPattern::Random { seed, density } => BitMask::from_fn(shape, |i| {
+                ((hash(seed, i) >> 11) as f64) < density * (1u64 << 53) as f64
+            }),
+            SkipPattern::WholeChannels { seed } => {
+                BitMask::from_fn(shape, |i| hash(seed, i / plane) & 1 == 1)
+            }
+            SkipPattern::OneKeptPer { period, offset } => {
+                BitMask::from_fn(shape, |i| !(i % plane + offset).is_multiple_of(period))
+            }
+        }
+    }
+}
+
+fn arb_skip_pattern() -> impl Strategy<Value = SkipPattern> {
+    (
+        0usize..5,
+        any::<u64>(),
+        0.0f64..1.0,
+        (0usize..4, 1usize..300),
+    )
+        .prop_map(|(kind, seed, density, (period_kind, period))| match kind {
+            0 => SkipPattern::Empty,
+            1 => SkipPattern::Full,
+            2 => SkipPattern::Random { seed, density },
+            3 => SkipPattern::WholeChannels { seed },
+            _ => {
+                let period = [64, 256].get(period_kind).copied().unwrap_or(period);
+                SkipPattern::OneKeptPer {
+                    period,
+                    offset: seed as usize % period,
+                }
+            }
         })
 }
 
@@ -80,6 +158,32 @@ proptest! {
     }
 
     #[test]
+    fn forward_skipping_ws_matches_the_zeroed_naive_oracle(
+        // Output planes up to 24×24 = 576 neurons, mostly not a multiple
+        // of the 64-bit mask word or the 256-column tile.
+        (conv, input) in arb_conv_geometry(1..4, 9..27),
+        pattern in arb_skip_pattern(),
+    ) {
+        let skip = pattern.mask(conv.output_shape(input.shape()));
+        let mut ws = Workspace::new();
+        let got = conv.forward_skipping_ws(&input, &skip, &mut ws);
+        let mut oracle = conv.forward(&input);
+        oracle.apply_drop_mask(&skip);
+        // Kept neurons equal the naive loop; skipped ones read +0.0.
+        prop_assert_eq!(&got, &oracle);
+        for i in skip.iter_set() {
+            prop_assert_eq!(got.at(i).to_bits(), 0, "skipped neuron {} is not +0.0", i);
+        }
+        if skip.count_ones() == 0 {
+            let dense = conv.forward_ws(&input, &mut ws);
+            prop_assert!(
+                got.iter().zip(dense.iter()).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "an empty skip mask must reproduce forward_ws bit for bit"
+            );
+        }
+    }
+
+    #[test]
     fn convolution_is_linear_in_the_input((conv, input) in arb_conv(), scale in -2.0f32..2.0) {
         // With zero bias and no ReLU, conv(s·x) == s·conv(x).
         let scaled = input.map(|v| v * scale);
@@ -102,6 +206,7 @@ proptest! {
 
     #[test]
     fn forward_neuron_agrees_with_forward((conv, input) in arb_conv()) {
+        // `forward_neuron` is a test oracle; it must agree with `forward`.
         let full = conv.forward(&input);
         let s = full.shape();
         // Spot-check a handful of coordinates.

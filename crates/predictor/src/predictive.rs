@@ -2,7 +2,7 @@ use crate::skipmap::{build_skip_maps, total_stats, SkipMap, SkipStats};
 use crate::{PolarityIndicators, ThresholdError, ThresholdSet};
 use fbcnn_bayes::mask::DropoutMasks;
 use fbcnn_bayes::{BayesianNetwork, SampleRun};
-use fbcnn_nn::NnError;
+use fbcnn_nn::{NnError, Workspace};
 use fbcnn_tensor::{BitMask, Tensor};
 use std::fmt;
 use std::sync::Arc;
@@ -181,10 +181,11 @@ impl PreparedInput {
 ///   dropout mask directly;
 /// * for every other convolution layer, computes skip decisions from the
 ///   resolved input dropout mask, the indicator bits and the thresholds,
-///   writes zero for skipped neurons and computes kept neurons with
-///   arithmetic identical to the dense pass.
+///   and runs the skipping im2col + blocked kernel
+///   ([`fbcnn_nn::Conv2d::forward_skipping_ws`]): skipped neurons read
+///   `+0.0`, kept neurons get the dense pass's arithmetic.
 ///
-/// On neurons it computes, the result is bit-for-bit equal to
+/// On neurons it computes, the result equals (`==`)
 /// [`BayesianNetwork::forward_sample`]; the only deviations are
 /// mispredicted unaffected neurons forced to zero — the source of the
 /// (small) accuracy loss the paper measures.
@@ -334,6 +335,12 @@ impl<'a> PredictiveInference<'a> {
 
     /// Runs one skipping sample inference under the given dropout masks.
     ///
+    /// Every convolution with upstream dropout runs
+    /// [`fbcnn_nn::Conv2d::forward_skipping_ws`] under its layer's
+    /// [`SkipMap::skip`] mask, sharing one [`Workspace`] across the layers
+    /// of the call; convolutions without upstream dropout reuse the
+    /// pre-inference (the first-layer shortcut).
+    ///
     /// When a telemetry recorder is installed, each call emits the
     /// `prediction` and `conv` phase spans plus one set of per-layer
     /// `skip_neurons_*` counters derived from the very same [`SkipMap`]s
@@ -374,6 +381,7 @@ impl<'a> PredictiveInference<'a> {
         }
         let _conv_phase =
             fbcnn_telemetry::span_with("phase", || vec![("stage".into(), "conv".into())]);
+        let mut ws = Workspace::new();
         let activations = net.forward_with(&self.prepared.input, |net, node, ins| {
             let id = node.id();
             let Some(conv) = node.layer().and_then(|l| l.as_conv()) else {
@@ -388,41 +396,7 @@ impl<'a> PredictiveInference<'a> {
                 out.apply_drop_mask(&map.dropped);
                 return out;
             }
-            let out_shape = net.shape(id);
-            let mut out = Tensor::zeros(out_shape);
-            let (out_h, out_w) = (out_shape.height(), out_shape.width());
-            let plane = out_shape.plane();
-            let input = ins[0];
-            for m in 0..conv.out_channels() {
-                let base = m * plane;
-                let skipped = (base..base + plane).filter(|&i| map.is_skipped(i)).count();
-                // Both strategies accumulate in the same (bias, n, i, j)
-                // order, so they are bit-identical on kept neurons; pick
-                // whichever does less work. The dense path's better
-                // constants win only on lightly-skipped channels.
-                if skipped * 4 < plane {
-                    // Mostly kept: compute the dense channel, then force
-                    // the skipped neurons to zero.
-                    conv.forward_channel_into(input, m, out.channel_mut(m));
-                    for i in base..base + plane {
-                        if map.is_skipped(i) {
-                            out.set(i, 0.0);
-                        }
-                    }
-                } else {
-                    for r in 0..out_h {
-                        for c in 0..out_w {
-                            let i = base + r * out_w + c;
-                            if map.is_skipped(i) {
-                                continue; // stays zero
-                            }
-                            let v = conv.forward_neuron(input, m, r, c);
-                            out.set(i, v);
-                        }
-                    }
-                }
-            }
-            out
+            conv.forward_skipping_ws(ins[0], &map.skip, &mut ws)
         });
         SkippingRun {
             activations,
