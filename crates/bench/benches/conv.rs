@@ -32,7 +32,7 @@ fn bench_geometry(c: &mut Criterion, label: &str, conv: Conv2d, in_dim: usize) {
     });
     let mut ws_par = Workspace::new();
     group.bench_function("parallel_4t", |b| {
-        b.iter(|| black_box(conv.forward_parallel(black_box(&input), 4, &mut ws_par)));
+        b.iter(|| black_box(conv.forward_parallel(black_box(&input), 4, None, &mut ws_par)));
     });
     group.finish();
 }

@@ -231,6 +231,8 @@ fn check_batch(path: &str, text: &str, min_speedup: f64) {
     );
 }
 
+const USAGE: &str = "usage: bench_check <BENCH_*.json> [min_speedup] [--baseline <file>]";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut path = None;
@@ -239,6 +241,10 @@ fn main() {
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             "--baseline" => {
                 let Some(value) = args.get(i + 1) else {
                     fail("--baseline needs a file".to_string());
@@ -257,11 +263,7 @@ fn main() {
         i += 1;
     }
     let Some(path) = path else {
-        fail(format!(
-            "usage: bench_check <BENCH_*.json> [min_speedup] [--baseline <file>] \
-             (got {} args)",
-            args.len() - 1
-        ));
+        fail(format!("{USAGE} (got {} args)", args.len() - 1));
     };
 
     let text = match std::fs::read_to_string(&path) {

@@ -110,7 +110,7 @@ fn main() {
     let im2col_ns = time_ns(reps_kernel, || conv.forward_ws(&input, &mut ws));
     let mut ws_par = Workspace::new();
     let par_ns = time_ns(reps_kernel, || {
-        conv.forward_parallel(&input, threads, &mut ws_par)
+        conv.forward_parallel(&input, threads, None, &mut ws_par)
     });
     let conv_timing = timing(naive_ns, im2col_ns, Some(par_ns));
 

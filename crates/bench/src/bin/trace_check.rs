@@ -15,13 +15,16 @@ fn fail(msg: String) -> ! {
     std::process::exit(1);
 }
 
+const USAGE: &str = "usage: trace_check <trace.jsonl> <metrics.prom>";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    if args.iter().skip(1).any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return;
+    }
     let [_, trace_path, metrics_path] = args.as_slice() else {
-        fail(format!(
-            "usage: trace_check <trace.jsonl> <metrics.prom> (got {} args)",
-            args.len() - 1
-        ));
+        fail(format!("{USAGE} (got {} args)", args.len() - 1));
     };
 
     let events = match fast_bcnn::io::read_trace(trace_path) {

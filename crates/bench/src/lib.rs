@@ -13,6 +13,7 @@
 //!   recorder for the run and export it as a JSONL trace / a
 //!   Prometheus-style text dump on exit (see `docs/OBSERVABILITY.md`).
 //!
+//! `--help` / `-h` prints the usage line and exits with status 0.
 //! Unknown flags and malformed values are hard errors: [`parse_args`]
 //! prints the problem and exits with status 2.
 
@@ -49,7 +50,13 @@ pub struct HarnessArgs {
     pub trace_out: Option<String>,
     /// Optional Prometheus-style metrics output path.
     pub metrics_out: Option<String>,
+    /// `--help` / `-h` was given: print [`USAGE`] instead of running.
+    pub help: bool,
 }
+
+/// The usage line of the shared harness flags.
+pub const USAGE: &str = "usage: [--quick] [--t <N>] [--seed <N>] [--threads <N>] [--json <path>] \
+                         [--trace-out <path>] [--metrics-out <path>] [--help]";
 
 impl HarnessArgs {
     /// Installs a telemetry recorder when `--trace-out` or
@@ -60,18 +67,20 @@ impl HarnessArgs {
     }
 }
 
-/// Parses the common flags from `std::env::args`, exiting with status 2
-/// on any unknown flag or malformed value.
+/// Parses the common flags from `std::env::args`. Prints [`USAGE`] and
+/// exits with status 0 on `--help` / `-h`, and exits with status 2 on any
+/// unknown flag or malformed value.
 pub fn parse_args() -> HarnessArgs {
     let args: Vec<String> = std::env::args().collect();
     match from_arg_list(&args[1..]) {
+        Ok(parsed) if parsed.help => {
+            println!("{USAGE}");
+            std::process::exit(0);
+        }
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!(
-                "usage: [--quick] [--t <N>] [--seed <N>] [--threads <N>] [--json <path>] \
-                 [--trace-out <path>] [--metrics-out <path>]"
-            );
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }
@@ -83,7 +92,8 @@ pub fn parse_args() -> HarnessArgs {
 /// # Errors
 ///
 /// Returns a message for an unknown flag, a flag missing its value, or a
-/// value that does not parse (including `--threads 0`).
+/// value that does not parse (including `--threads 0`). `--help` / `-h`
+/// stops parsing and sets [`HarnessArgs::help`].
 pub fn from_arg_list(args: &[String]) -> Result<HarnessArgs, String> {
     fn value<'a>(args: &'a [String], i: usize, flag: &str) -> Result<&'a str, String> {
         args.get(i + 1)
@@ -100,9 +110,14 @@ pub fn from_arg_list(args: &[String]) -> Result<HarnessArgs, String> {
     let mut json = None;
     let mut trace_out = None;
     let mut metrics_out = None;
+    let mut help = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
+            "--help" | "-h" => {
+                help = true;
+                break;
+            }
             "--quick" => cfg = ExpConfig::quick(),
             "--json" => {
                 json = Some(value(args, i, "--json")?.to_string());
@@ -140,6 +155,7 @@ pub fn from_arg_list(args: &[String]) -> Result<HarnessArgs, String> {
         json,
         trace_out,
         metrics_out,
+        help,
     })
 }
 
@@ -217,6 +233,18 @@ mod tests {
     fn unknown_flag_is_an_error() {
         let e = from_arg_list(&strings(&["--bogus"])).unwrap_err();
         assert!(e.contains("--bogus"), "unhelpful message: {e}");
+    }
+
+    #[test]
+    fn help_flags_ask_for_usage_instead_of_failing() {
+        for flag in ["--help", "-h"] {
+            let a = from_arg_list(&strings(&[flag])).unwrap();
+            assert!(a.help, "{flag} must request the usage text");
+            // Help wins over whatever follows it, even a bad flag.
+            let b = from_arg_list(&strings(&["--quick", flag, "--bogus"])).unwrap();
+            assert!(b.help);
+        }
+        assert!(!from_arg_list(&[]).unwrap().help);
     }
 
     #[test]

@@ -79,6 +79,11 @@ pub struct BatchConfig {
     /// Worker threads draining the request queue (and serving the
     /// exact-path sample units). 1 = sequential; results are identical
     /// either way.
+    ///
+    /// This is request-level parallelism. Splitting each large convolution
+    /// over the host's free cores is separate and automatic (see
+    /// [`fbcnn_nn::Conv2d::forward_ws`]); a process-wide lane budget keeps
+    /// the two from oversubscribing the cores.
     pub threads: usize,
     /// Capacity of the pre-inference cache in distinct inputs; 0
     /// disables caching. Eviction is FIFO by first insertion.

@@ -75,8 +75,9 @@ struct Args {
     id: Option<u64>,
 }
 
-fn parse() -> Result<Args, String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+/// Parses the command line (without the program name). `--help` or `-h`
+/// anywhere turns the command into `help`, which prints the usage text.
+fn parse(argv: &[String]) -> Result<Args, String> {
     let command = argv.first().cloned().unwrap_or_else(|| "help".into());
     let mut args = Args {
         command,
@@ -112,6 +113,10 @@ fn parse() -> Result<Args, String> {
     let mut i = 1;
     while i < argv.len() {
         match argv[i].as_str() {
+            "--help" | "-h" => {
+                args.command = "help".into();
+                return Ok(args);
+            }
             "--model" => {
                 let v = argv.get(i + 1).ok_or("--model needs a value")?;
                 args.model = match v.as_str() {
@@ -1502,7 +1507,8 @@ fn cmd_postmortem(args: &Args) {
 }
 
 fn main() {
-    let args = match parse() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse(&argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -1535,37 +1541,71 @@ fn main() {
         "swap" => cmd_swap(&args),
         "watch" => cmd_watch(&args),
         "postmortem" => cmd_postmortem(&args),
-        _ => {
-            println!(
-                "usage: fastbcnn <demo|simulate|characterize|train|observe|serve-batch\
-                 |export-model|serve|serve-net|swap|watch|postmortem> \
-                 [--model lenet|vgg|googlenet|alexnet] [--samples N] [--full] \
-                 [--epochs N] [--train-size N] [--requests N] [--threads N] \
-                 [--deadline-ms N] [--retry-max N] [--breaker-threshold X] \
-                 [--trace-out <path>] [--metrics-out <path>]"
-            );
-            println!(
-                "serve-batch resilience defaults: no deadline (--deadline-ms unset), \
-                 --retry-max 2, --breaker-threshold 0.5"
-            );
-            println!(
-                "artifact flags: export-model --out <path> [--model-version N] [--label S]; \
-                 serve/swap [--artifact <path>] [--next <path>] [--shards N] \
-                 [--canary-percent N] (no --artifact: a fresh in-memory export; \
-                 no --next: a version bump of the base)"
-            );
-            println!(
-                "observability: watch [--windows N] [--window-ms N] [--requests N] \
-                 [--chaos] [--supervise] [--postmortem-out <path>]; \
-                 postmortem <file> [--id N]"
-            );
-            println!(
-                "network serving: serve-net [--artifact <path>] [--addr host:port] \
-                 [--connections N] [--requests N] [--supervise] (self-drives a seeded \
-                 loadgen mix against the TCP server and reconciles the ledgers; \
-                 --supervise adds shard health supervision with quarantine, failover \
-                 and rebuild; see docs/SERVING.md and docs/REGISTRY.md)"
-            );
+        "help" | "--help" | "-h" => print_usage(),
+        other => {
+            eprintln!("error: unknown command {other}");
+            print_usage();
+            std::process::exit(2);
         }
+    }
+}
+
+fn print_usage() {
+    println!(
+        "usage: fastbcnn <demo|simulate|characterize|train|observe|serve-batch\
+         |export-model|serve|serve-net|swap|watch|postmortem> \
+         [--model lenet|vgg|googlenet|alexnet] [--samples N] [--full] \
+         [--epochs N] [--train-size N] [--requests N] [--threads N] \
+         [--deadline-ms N] [--retry-max N] [--breaker-threshold X] \
+         [--trace-out <path>] [--metrics-out <path>]"
+    );
+    println!(
+        "serve-batch resilience defaults: no deadline (--deadline-ms unset), \
+         --retry-max 2, --breaker-threshold 0.5"
+    );
+    println!(
+        "artifact flags: export-model --out <path> [--model-version N] [--label S]; \
+         serve/swap [--artifact <path>] [--next <path>] [--shards N] \
+         [--canary-percent N] (no --artifact: a fresh in-memory export; \
+         no --next: a version bump of the base)"
+    );
+    println!(
+        "observability: watch [--windows N] [--window-ms N] [--requests N] \
+         [--chaos] [--supervise] [--postmortem-out <path>]; \
+         postmortem <file> [--id N]"
+    );
+    println!(
+        "network serving: serve-net [--artifact <path>] [--addr host:port] \
+         [--connections N] [--requests N] [--supervise] (self-drives a seeded \
+         loadgen mix against the TCP server and reconciles the ledgers; \
+         --supervise adds shard health supervision with quarantine, failover \
+         and rebuild; see docs/SERVING.md and docs/REGISTRY.md)"
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse;
+
+    fn argv(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn help_flags_select_the_usage_text() {
+        for flag in ["--help", "-h"] {
+            let args = parse(&argv(&["demo", flag])).unwrap();
+            assert_eq!(args.command, "help", "demo {flag}");
+            // Help wins over whatever follows it, even a bad flag.
+            let args = parse(&argv(&["serve-net", "--samples", "4", flag, "--bogus"])).unwrap();
+            assert_eq!(args.command, "help");
+        }
+        assert_eq!(parse(&[]).unwrap().command, "help");
+    }
+
+    #[test]
+    fn unknown_flags_are_errors() {
+        let e = parse(&argv(&["demo", "--bogus"])).err().unwrap();
+        assert!(e.contains("--bogus"), "unhelpful message: {e}");
     }
 }

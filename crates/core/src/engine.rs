@@ -29,6 +29,12 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Worker threads for exact MC-dropout passes (1 = sequential;
     /// results are identical either way).
+    ///
+    /// This is sample-level parallelism. Splitting each large convolution
+    /// over the host's free cores is separate and automatic (see
+    /// [`fbcnn_nn::Conv2d::forward_ws`]): with one worker, a request's big
+    /// conv layers still use every core; with as many workers as cores,
+    /// the shared lane budget keeps every conv call inline.
     pub threads: usize,
     /// Per-request wall-clock deadline in milliseconds for resilient
     /// serving (`None` = no deadline). An expired request returns its

@@ -1,3 +1,4 @@
+use crate::lanes;
 use crate::workspace::Workspace;
 use fbcnn_tensor::{BitMask, Shape, Tensor};
 use serde::{Deserialize, Serialize};
@@ -272,12 +273,21 @@ impl Conv2d {
     /// same `(n, i, j)`-ascending order as the naive loop, bias first and
     /// ReLU last.
     ///
+    /// A call of at least 1 Mi multiply-accumulates
+    /// (`macs_per_neuron · R·C · M`) splits its output channels over the
+    /// host's free cores, with no setting to tune: lanes compute
+    /// contiguous blocks of output planes from the shared patch matrix, and a
+    /// process-wide lane budget keeps the lanes of all concurrent calls at
+    /// or below the core count (a call that finds every core busy runs
+    /// inline). Every plane is computed by the same routine either way, so
+    /// the result does not depend on the split.
+    ///
     /// # Panics
     ///
     /// Panics if the input shape is incompatible (see
     /// [`Conv2d::output_shape`]).
     pub fn forward_ws(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        self.forward_blocked(input, None, ws)
+        self.forward_blocked(input, None, ws, None)
     }
 
     /// The skipping convolution: like [`Conv2d::forward_ws`], but the
@@ -288,7 +298,8 @@ impl Conv2d {
     /// the software form of the paper's skip engine — and computes the
     /// other tiles exactly as [`Conv2d::forward_ws`] does, so every kept
     /// neuron is bit-identical to it (and `==` to [`Conv2d::forward`]).
-    /// An empty mask reproduces [`Conv2d::forward_ws`] bit for bit.
+    /// An empty mask reproduces [`Conv2d::forward_ws`] bit for bit. Large
+    /// calls split over cores as [`Conv2d::forward_ws`] does.
     ///
     /// # Panics
     ///
@@ -300,67 +311,67 @@ impl Conv2d {
         skip: &BitMask,
         ws: &mut Workspace,
     ) -> Tensor {
-        assert_eq!(
-            skip.shape(),
-            self.output_shape(input.shape()),
-            "skip mask must have the output shape"
-        );
-        self.forward_blocked(input, Some(skip), ws)
+        self.forward_blocked(input, Some(skip), ws, None)
     }
 
+    /// [`Conv2d::forward_ws`] (or, with `skip`,
+    /// [`Conv2d::forward_skipping_ws`]) on exactly `lanes` lanes, capped
+    /// at [`Conv2d::out_channels`], whatever the size of the call and the
+    /// lane budget — for benches and for tests of the split. The output is
+    /// bit-identical to the one-lane call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is zero, if a lane panics, if the input shape is
+    /// incompatible (see [`Conv2d::output_shape`]) or if `skip` does not
+    /// have the output shape.
+    pub fn forward_parallel(
+        &self,
+        input: &Tensor,
+        lanes: usize,
+        skip: Option<&BitMask>,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        assert!(lanes > 0, "lane count must be non-zero");
+        self.forward_blocked(input, skip, ws, Some(lanes))
+    }
+
+    /// The one blocked kernel: lowers `input` once, then computes the
+    /// output planes on `lanes` lanes, or on as many as
+    /// [`lanes::wanted_lanes`] and the lane budget allow when `None`.
     fn forward_blocked(
         &self,
         input: &Tensor,
         skip: Option<&BitMask>,
         ws: &mut Workspace,
+        lanes: Option<usize>,
     ) -> Tensor {
         let out_shape = self.output_shape(input.shape());
+        if let Some(skip) = skip {
+            assert_eq!(
+                skip.shape(),
+                out_shape,
+                "skip mask must have the output shape"
+            );
+        }
         let plane = out_shape.plane();
         let patches = ws.im2col(self.macs_per_neuron() * plane);
         self.fill_im2col(input, out_shape, patches);
-        let mut out = Tensor::zeros(out_shape);
-        for m in 0..self.out_channels {
-            self.blocked_channel(patches, m, out.channel_mut(m), skip);
-        }
-        out
-    }
-
-    /// Runs the convolution with output channels fanned out over `threads`
-    /// worker threads (capped at [`Conv2d::out_channels`]).
-    ///
-    /// The im2col patch matrix is built once in `ws` and shared read-only
-    /// by all workers; each worker owns a disjoint chunk of output planes,
-    /// so the result is identical to [`Conv2d::forward_ws`] regardless of
-    /// thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero, if a worker thread panics, or if the
-    /// input shape is incompatible (see [`Conv2d::output_shape`]).
-    pub fn forward_parallel(&self, input: &Tensor, threads: usize, ws: &mut Workspace) -> Tensor {
-        assert!(threads > 0, "thread count must be non-zero");
-        let threads = threads.min(self.out_channels);
-        if threads == 1 {
-            return self.forward_ws(input, ws);
-        }
-        let out_shape = self.output_shape(input.shape());
-        let plane = out_shape.plane();
-        let patches = ws.im2col(self.macs_per_neuron() * plane);
-        self.fill_im2col(input, out_shape, patches);
-        let mut out = Tensor::zeros(out_shape);
-        let chunk = self.out_channels.div_ceil(threads);
         let patches = &*patches;
-        crossbeam::thread::scope(|scope| {
-            for (worker, planes) in out.as_mut_slice().chunks_mut(chunk * plane).enumerate() {
-                let first_m = worker * chunk;
-                scope.spawn(move |_| {
-                    for (dm, out_plane) in planes.chunks_mut(plane).enumerate() {
-                        self.blocked_channel(patches, first_m + dm, out_plane, None);
-                    }
-                });
-            }
-        })
-        .expect("conv worker thread panicked");
+        let want = lanes.unwrap_or_else(|| {
+            lanes::wanted_lanes(
+                self.macs_per_neuron() * plane * self.out_channels,
+                self.out_channels,
+            )
+        });
+        // Forced lane counts bypass the budget; automatic splits draw on it.
+        let grant =
+            (lanes.is_none() && want > 1).then(|| lanes::BUDGET.acquire(want, lanes::cores()));
+        let lanes = grant.as_ref().map_or(want, lanes::LaneGrant::lanes);
+        let mut out = Tensor::zeros(out_shape);
+        lanes::for_each_plane(out.as_mut_slice(), plane, lanes, |m, dst| {
+            self.blocked_channel(patches, m, dst, skip)
+        });
         out
     }
 
@@ -672,20 +683,43 @@ mod tests {
     }
 
     #[test]
-    fn forward_parallel_matches_forward_for_any_thread_count() {
+    fn forward_parallel_matches_forward_for_any_lane_count() {
         let conv = seeded_conv(3, 8, 3, 1, 1, true, 42);
         let input = Tensor::from_fn(Shape::new(3, 9, 9), |ch, r, c| {
             ((ch * 13 + r * 5 + c) % 7) as f32 / 3.0 - 1.0
         });
         let reference = conv.forward(&input);
         let mut ws = Workspace::new();
-        for threads in [1, 2, 3, 8, 16] {
+        for lanes in [1, 2, 3, 8, 16] {
             assert_eq!(
-                conv.forward_parallel(&input, threads, &mut ws),
+                conv.forward_parallel(&input, lanes, None, &mut ws),
                 reference,
-                "threads={threads} diverged"
+                "lanes={lanes} diverged"
             );
         }
+    }
+
+    #[test]
+    fn automatic_split_above_the_grain_is_bit_identical_to_one_lane() {
+        // 16 → 64 channels, 3×3 over 32×32: ≈ 9.4 M MACs, above the grain,
+        // so on a multi-core host the automatic kernels split the call.
+        let conv = seeded_conv(16, 64, 3, 1, 1, true, 5);
+        let input = Tensor::from_fn(Shape::new(16, 32, 32), |ch, r, c| {
+            ((ch * 13 + r * 5 + c) % 7) as f32 / 3.0 - 1.0
+        });
+        let out_shape = conv.output_shape(input.shape());
+        assert!(conv.macs_per_neuron() * out_shape.len() >= lanes::SPLIT_GRAIN_MACS);
+        let skip = BitMask::from_fn(out_shape, |i| i % 7 < 3 || i / 1024 == 9);
+        let bits = |t: Tensor| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut ws = Workspace::new();
+        assert_eq!(
+            bits(conv.forward_ws(&input, &mut ws)),
+            bits(conv.forward_parallel(&input, 1, None, &mut ws))
+        );
+        assert_eq!(
+            bits(conv.forward_skipping_ws(&input, &skip, &mut ws)),
+            bits(conv.forward_parallel(&input, 1, Some(&skip), &mut ws))
+        );
     }
 
     #[test]
@@ -700,12 +734,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "thread count must be non-zero")]
-    fn zero_threads_rejected() {
+    #[should_panic(expected = "lane count must be non-zero")]
+    fn zero_lanes_rejected() {
         let conv = Conv2d::new(1, 1, 1, 1, 0, false);
         let _ = conv.forward_parallel(
             &Tensor::zeros(Shape::new(1, 2, 2)),
             0,
+            None,
             &mut Workspace::new(),
         );
     }

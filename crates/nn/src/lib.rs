@@ -37,6 +37,7 @@ mod error;
 mod graph;
 mod guard;
 pub mod init;
+mod lanes;
 mod layer;
 pub mod models;
 mod pool;

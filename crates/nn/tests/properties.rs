@@ -29,17 +29,19 @@ fn arb_conv() -> impl Strategy<Value = (Conv2d, Tensor)> {
 /// Like [`arb_conv`], but additionally varies stride, fused ReLU and the
 /// bias — the dimensions the fast conv paths must reproduce exactly.
 fn arb_conv_fast() -> impl Strategy<Value = (Conv2d, Tensor)> {
-    arb_conv_geometry(1..3, 4..9)
+    arb_conv_geometry(1..6, 1..3, 4..9)
 }
 
-/// Random convolutions with strides and input sizes drawn from the given
-/// ranges (kernel 1, 3 or 5, pad up to 2, ReLU on or off, random bias).
+/// Random convolutions with output channels, strides and input sizes
+/// drawn from the given ranges (1–3 input channels, kernel 1, 3 or 5, pad
+/// up to 2, ReLU on or off, random bias).
 fn arb_conv_geometry(
+    out_channels: Range<usize>,
     strides: Range<usize>,
     dims: Range<usize>,
 ) -> impl Strategy<Value = (Conv2d, Tensor)> {
     (
-        (1usize..4, 1usize..6, 0usize..3),
+        (1usize..4, out_channels, 0usize..3),
         (0usize..3, strides, dims, any::<bool>()),
     )
         .prop_flat_map(|((n, m, k_idx), (pad, stride, dim, relu))| {
@@ -144,24 +146,41 @@ proptest! {
     }
 
     #[test]
-    fn forward_parallel_matches_naive_forward(
-        (conv, input) in arb_conv_fast(),
-        threads in 1usize..5,
+    fn forced_lane_counts_are_bit_identical_to_one_lane(
+        // Up to 11 output channels, so most lane counts do not divide them.
+        (conv, input) in arb_conv_geometry(1..12, 1..4, 5..14),
+        pattern in arb_skip_pattern(),
+        skipping in any::<bool>(),
     ) {
-        // Workers own disjoint output channels, so thread count must not
-        // change a single bit of the result.
+        // Lanes own disjoint runs of output planes over one shared patch
+        // matrix, so the lane count must not change a single bit. These
+        // geometries are far below the split grain, so the automatic
+        // kernels run on one lane.
+        let skip = pattern.mask(conv.output_shape(input.shape()));
+        let skip = skipping.then_some(&skip);
         let mut ws = Workspace::new();
-        prop_assert_eq!(
-            conv.forward_parallel(&input, threads, &mut ws),
-            conv.forward(&input)
-        );
+        let one_lane = match skip {
+            Some(skip) => conv.forward_skipping_ws(&input, skip, &mut ws),
+            None => conv.forward_ws(&input, &mut ws),
+        };
+        let m = conv.out_channels();
+        for lanes in [1, 2, 3, m, m + 3] {
+            let got = conv.forward_parallel(&input, lanes, skip, &mut ws);
+            prop_assert_eq!(got.shape(), one_lane.shape());
+            prop_assert!(
+                got.iter().zip(one_lane.iter()).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{} lanes over {} channels diverged from one lane",
+                lanes,
+                m
+            );
+        }
     }
 
     #[test]
     fn forward_skipping_ws_matches_the_zeroed_naive_oracle(
         // Output planes up to 24×24 = 576 neurons, mostly not a multiple
         // of the 64-bit mask word or the 256-column tile.
-        (conv, input) in arb_conv_geometry(1..4, 9..27),
+        (conv, input) in arb_conv_geometry(1..6, 1..4, 9..27),
         pattern in arb_skip_pattern(),
     ) {
         let skip = pattern.mask(conv.output_shape(input.shape()));

@@ -7,6 +7,8 @@ use fast_bcnn::{
 };
 use fbcnn_bayes::BayesianNetwork;
 use fbcnn_nn::models::{ModelKind, ModelScale};
+use fbcnn_nn::{Conv2d, Dense, NetworkBuilder, Pool2d, PoolKind, Workspace};
+use fbcnn_tensor::Shape;
 
 fn quick_engine(kind: ModelKind) -> Engine {
     Engine::new(EngineConfig {
@@ -82,6 +84,69 @@ fn skipping_matches_exact_when_prediction_disabled() {
         let skipped = pe.run_sample(&masks);
         assert_eq!(exact.logits(), skipped.logits(), "sample {t} diverged");
     }
+}
+
+#[test]
+fn a_conv_above_the_split_grain_matches_the_oracles_end_to_end() {
+    // conv2 is 16 → 64 channels, 3×3 over 32×32: 144 · 1024 · 64 ≈ 9.4 M
+    // MACs, above the blocked kernel's 1 Mi-MAC split grain, so on a
+    // multi-core host its exact and skipping passes are split over cores.
+    // (The TINY and LeNet-5 models never reach the grain.)
+    let mut b = NetworkBuilder::new(Shape::new(3, 32, 32));
+    let conv1 = b
+        .layer(b.input(), Conv2d::new(3, 16, 3, 1, 1, true), "conv1")
+        .unwrap();
+    let conv2 = b
+        .layer(conv1, Conv2d::new(16, 64, 3, 1, 1, true), "conv2")
+        .unwrap();
+    let pool = b
+        .layer(conv2, Pool2d::new(PoolKind::Max, 2, 2), "pool")
+        .unwrap();
+    b.layer(pool, Dense::new(64 * 16 * 16, 10, false), "fc")
+        .unwrap();
+    let mut net = b.build().unwrap();
+    fbcnn_nn::init::calibrated(&mut net, 21);
+    let bnet = BayesianNetwork::new(net, 0.3);
+    let input = synth_input(bnet.network().input_shape(), 4);
+    let thresholds = ThresholdOptimizer::default().optimize(&bnet, &input, 5);
+    let pe = PredictiveInference::new(&bnet, &input, thresholds);
+    let mut ws = Workspace::new();
+    let mut predicted = 0;
+    for t in 0..3 {
+        let masks = bnet.generate_masks(13, t);
+        let naive = bnet.forward_sample(&input, &masks);
+        let exact = bnet.forward_sample_ws(&input, &masks, &mut ws);
+        for (node, (got, want)) in exact.activations.iter().zip(&naive.activations).enumerate() {
+            assert_eq!(
+                got, want,
+                "sample {t}: node {node} diverged from the naive pass"
+            );
+        }
+        // Every conv layer's input is exact here: conv1 reads the image,
+        // and conv1 has no upstream dropout, so its output (conv2's
+        // input) equals the exact pass. Each kept neuron must therefore
+        // carry the exact pass's bits, and each skipped one +0.0.
+        let skipping = pe.run_sample(&masks);
+        for &node in bnet.dropout_nodes() {
+            let map = skipping.skip_maps[node.0].as_ref().expect("conv skip map");
+            let (got, want) = (&skipping.activations[node.0], &exact.activations[node.0]);
+            for i in 0..got.len() {
+                let want = if map.skip.get(i) {
+                    0
+                } else {
+                    want.at(i).to_bits()
+                };
+                assert_eq!(
+                    got.at(i).to_bits(),
+                    want,
+                    "sample {t}: neuron {i} of node {} diverged",
+                    node.0
+                );
+            }
+            predicted += map.predicted.count_ones();
+        }
+    }
+    assert!(predicted > 0, "calibration must leave neurons to predict");
 }
 
 #[test]
