@@ -1,5 +1,5 @@
 //! Criterion benches for the convolution hot path: the naive reference
-//! loop vs the im2col + cache-blocked workspace kernel vs the
+//! loop vs the im2col + register-tiled workspace kernel vs the
 //! channel-parallel variant.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -16,6 +16,7 @@
 //!   DESIGN.md §2);
 //! * [`data`] — the SynthDigits procedural dataset;
 //! * [`quant`] — symmetric int8 post-training quantization;
+//! * [`simd`] — the host's SIMD level, which picks the conv kernel's body;
 //! * [`train`] — a small SGD trainer able to actually train LeNet-5.
 //!
 //! # Examples
@@ -42,6 +43,8 @@ mod layer;
 pub mod models;
 mod pool;
 pub mod quant;
+pub mod simd;
+mod tile;
 pub mod train;
 mod workspace;
 

@@ -1,5 +1,6 @@
 //! Property-based tests for the CNN substrate.
 
+use fbcnn_nn::simd::Level;
 use fbcnn_nn::{Conv2d, Dense, Pool2d, PoolKind, Workspace};
 use fbcnn_tensor::{BitMask, Shape, Tensor};
 use proptest::prelude::*;
@@ -80,8 +81,7 @@ enum SkipPattern {
     WholeChannels {
         seed: u64,
     },
-    /// Per channel, one kept neuron in every run of `period` neurons
-    /// (period 256 = one per column tile of the blocked kernel).
+    /// Per channel, one kept neuron in every run of `period` neurons.
     OneKeptPer {
         period: usize,
         offset: usize,
@@ -134,6 +134,122 @@ fn arb_skip_pattern() -> impl Strategy<Value = SkipPattern> {
         })
 }
 
+/// A small deterministic generator for the per-level cases.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in [-1, 1).
+    fn unit(&mut self) -> f32 {
+        (self.next() >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    }
+}
+
+/// Random convolutions for the per-level differential test, over what the
+/// tiled kernel's shape depends on: 1–39 output channels (partial channel
+/// groups for every lane width, and LeNet `conv1`'s 6), planes from 1×1
+/// up with widths that leave tile tails, stride and pad. About 25 % of the
+/// weights are exact zeros, a quarter of the biases are `-0.0` or `+0.0`,
+/// and half the cases put ±inf and NaN among the activations. The NaN is
+/// the one the host's arithmetic makes (`inf − inf`), so every NaN an
+/// output can hold has one bit pattern whatever the operand order.
+fn arb_level_case() -> impl Strategy<Value = (Conv2d, Tensor)> {
+    (
+        (1usize..4, 1usize..40, 0usize..3),
+        (0usize..3, 1usize..4, 1usize..20, any::<bool>()),
+        any::<u64>(),
+    )
+        .prop_map(|((n, m, k_idx), (pad, stride, dim, relu), seed)| {
+            let k = [1usize, 3, 5][k_idx].min(dim);
+            let pad = pad.min(k - 1);
+            let mut rng = SplitMix(seed);
+            let mut conv = Conv2d::new(n, m, k, stride, pad, relu);
+            for w in conv.weights_mut() {
+                *w = if rng.next().is_multiple_of(4) {
+                    0.0
+                } else {
+                    rng.unit()
+                };
+            }
+            for b in conv.bias_mut() {
+                *b = match rng.next() % 8 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => rng.unit(),
+                };
+            }
+            let nan = std::hint::black_box(f32::INFINITY) - std::hint::black_box(f32::INFINITY);
+            let specials = rng.next().is_multiple_of(2);
+            let data = (0..n * dim * dim)
+                .map(|_| match rng.next() % 128 {
+                    0 if specials => f32::INFINITY,
+                    1 if specials => f32::NEG_INFINITY,
+                    2 if specials => nan,
+                    3 => -0.0,
+                    _ => rng.unit(),
+                })
+                .collect();
+            (conv, Tensor::from_vec(Shape::new(n, dim, dim), data))
+        })
+}
+
+/// The blocked kernels' arithmetic, neuron by neuron: the bias, then
+/// `w·x` added in `(n, i, j)` order for every nonzero weight, where a
+/// window position over the border reads `0.0` (the im2col patch value),
+/// then ReLU (`< 0.0` becomes `+0.0`); skipped neurons read `+0.0`.
+///
+/// [`Conv2d::forward`] skips border positions instead of adding `w·0.0`,
+/// so it agrees with this oracle only up to the sign of zero.
+fn kernel_oracle_bits(conv: &Conv2d, input: &Tensor, skip: Option<&BitMask>) -> Vec<u32> {
+    let in_shape = input.shape();
+    let (h, w) = (in_shape.height() as isize, in_shape.width() as isize);
+    let (k, stride, pad) = (conv.kernel_size(), conv.stride(), conv.pad() as isize);
+    let out_shape = conv.output_shape(in_shape);
+    out_shape
+        .coords()
+        .enumerate()
+        .map(|(idx, (m, r, c))| {
+            if skip.is_some_and(|s| s.get(idx)) {
+                return 0.0f32.to_bits();
+            }
+            let mut acc = conv.bias()[m];
+            for n in 0..conv.in_channels() {
+                for i in 0..k {
+                    for j in 0..k {
+                        let wv = conv.weight(m, n, i, j);
+                        if wv == 0.0 {
+                            continue;
+                        }
+                        let ri = (r * stride + i) as isize - pad;
+                        let ci = (c * stride + j) as isize - pad;
+                        let x = if (0..h).contains(&ri) && (0..w).contains(&ci) {
+                            input[(n, ri as usize, ci as usize)]
+                        } else {
+                            0.0
+                        };
+                        acc += wv * x;
+                    }
+                }
+            }
+            if conv.has_relu() && acc < 0.0 {
+                acc = 0.0;
+            }
+            acc.to_bits()
+        })
+        .collect()
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -179,7 +295,7 @@ proptest! {
     #[test]
     fn forward_skipping_ws_matches_the_zeroed_naive_oracle(
         // Output planes up to 24×24 = 576 neurons, mostly not a multiple
-        // of the 64-bit mask word or the 256-column tile.
+        // of the 64-bit mask word or the 16-column tile.
         (conv, input) in arb_conv_geometry(1..6, 1..4, 9..27),
         pattern in arb_skip_pattern(),
     ) {
@@ -199,6 +315,43 @@ proptest! {
                 got.iter().zip(dense.iter()).all(|(a, b)| a.to_bits() == b.to_bits()),
                 "an empty skip mask must reproduce forward_ws bit for bit"
             );
+        }
+    }
+
+    #[test]
+    fn every_supported_level_matches_the_kernel_oracle_bit_for_bit(
+        (conv, input) in arb_level_case(),
+        pattern in arb_skip_pattern(),
+    ) {
+        let skip = pattern.mask(conv.output_shape(input.shape()));
+        let dense = kernel_oracle_bits(&conv, &input, None);
+        let skipped = kernel_oracle_bits(&conv, &input, Some(&skip));
+        let mut ws = Workspace::new();
+        // The automatic kernels run the detected level.
+        prop_assert!(bits(&conv.forward_ws(&input, &mut ws)) == dense, "forward_ws diverged");
+        prop_assert!(
+            bits(&conv.forward_skipping_ws(&input, &skip, &mut ws)) == skipped,
+            "forward_skipping_ws diverged"
+        );
+        for level in Level::supported() {
+            for lanes in [1, 3] {
+                let got = conv.forward_at_level(&input, level, lanes, None, &mut ws);
+                prop_assert!(
+                    bits(&got) == dense,
+                    "{} on {} lanes diverged: {:?}",
+                    level,
+                    lanes,
+                    (conv.in_channels(), conv.out_channels(), conv.kernel_size(), conv.stride(), conv.pad(), input.shape())
+                );
+                let got = conv.forward_at_level(&input, level, lanes, Some(&skip), &mut ws);
+                prop_assert!(
+                    bits(&got) == skipped,
+                    "{} on {} lanes diverged under {:?}",
+                    level,
+                    lanes,
+                    pattern
+                );
+            }
         }
     }
 

@@ -88,21 +88,21 @@ fn skipping_matches_exact_when_prediction_disabled() {
 
 #[test]
 fn a_conv_above_the_split_grain_matches_the_oracles_end_to_end() {
-    // conv2 is 16 → 64 channels, 3×3 over 32×32: 144 · 1024 · 64 ≈ 9.4 M
-    // MACs, above the blocked kernel's 1 Mi-MAC split grain, so on a
-    // multi-core host its exact and skipping passes are split over cores.
-    // (The TINY and LeNet-5 models never reach the grain.)
-    let mut b = NetworkBuilder::new(Shape::new(3, 32, 32));
+    // conv2 is 64 → 128 channels, 3×3: 73 728 weights, above the blocked
+    // kernel's 64 Ki-weight split grain, so on a multi-core host its exact
+    // and skipping passes are split over cores. (The TINY and LeNet-5
+    // models never reach the grain.)
+    let mut b = NetworkBuilder::new(Shape::new(3, 16, 16));
     let conv1 = b
-        .layer(b.input(), Conv2d::new(3, 16, 3, 1, 1, true), "conv1")
+        .layer(b.input(), Conv2d::new(3, 64, 3, 1, 1, true), "conv1")
         .unwrap();
     let conv2 = b
-        .layer(conv1, Conv2d::new(16, 64, 3, 1, 1, true), "conv2")
+        .layer(conv1, Conv2d::new(64, 128, 3, 1, 1, true), "conv2")
         .unwrap();
     let pool = b
         .layer(conv2, Pool2d::new(PoolKind::Max, 2, 2), "pool")
         .unwrap();
-    b.layer(pool, Dense::new(64 * 16 * 16, 10, false), "fc")
+    b.layer(pool, Dense::new(128 * 8 * 8, 10, false), "fc")
         .unwrap();
     let mut net = b.build().unwrap();
     fbcnn_nn::init::calibrated(&mut net, 21);
